@@ -5,7 +5,7 @@ use snr_cts::{Assignment, ClockTree, NodeId, NodeKind};
 use snr_netlist::TimingArc;
 use snr_power::{evaluate, PowerModel, PowerReport};
 use snr_tech::{Corner, Technology};
-use snr_timing::{AnalysisOptions, Analyzer, BatchAnalyzer, DelayMetric, TimingReport, TimingSummary};
+use snr_timing::{AnalysisOptions, Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -48,7 +48,6 @@ pub struct OptContext<'a> {
     /// Shared scratch for the multi-lane corner sweep: all corners of one
     /// candidate evaluate in a single tree traversal.
     batch: Mutex<BatchAnalyzer>,
-    analysis_opts: AnalysisOptions,
     eval_mode: EvalMode,
     divergence_every: usize,
     divergence_epsilon_ps: f64,
@@ -74,7 +73,6 @@ impl<'a> OptContext<'a> {
             corner_base_skew: OnceLock::new(),
             analyzer: Mutex::new(Analyzer::new()),
             batch: Mutex::new(BatchAnalyzer::new()),
-            analysis_opts: AnalysisOptions::default(),
             eval_mode: EvalMode::default(),
             divergence_every: 256,
             divergence_epsilon_ps: 1e-6,
@@ -93,7 +91,7 @@ impl<'a> OptContext<'a> {
         self
     }
 
-    /// Called by [`crate::Prober`] on every parallel probe evaluation;
+    /// Called by the upgrade-repair pool on every parallel probe;
     /// fires any armed probe fault when its turn comes.
     #[cfg(feature = "fault-inject")]
     pub(crate) fn on_parallel_probe(&self) {
@@ -267,12 +265,7 @@ impl<'a> OptContext<'a> {
         self.analyzer
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .run(self.tree, self.tech, assignment, &self.analysis_opts)
-    }
-
-    /// The analysis options sessions and probers share.
-    pub(crate) fn analysis_options(&self) -> &AnalysisOptions {
-        &self.analysis_opts
+            .run(self.tree, self.tech, assignment, &AnalysisOptions::default())
     }
 
     /// Evaluates the power of `assignment`.
@@ -363,39 +356,17 @@ impl<'a> OptContext<'a> {
         true
     }
 
-    /// Evaluates `assignment` at every configured corner.
-    ///
-    /// Under the (default) Elmore metric all corners share one multi-lane
-    /// tree traversal through the [`BatchAnalyzer`] — the summaries are bit
-    /// for bit what per-corner [`snr_timing::analyze_at_corner`] calls would
-    /// produce. D2M analysis falls back to the serial per-corner path, since
-    /// the batched kernel implements only the optimizer's Elmore metric.
+    /// Evaluates `assignment` at every configured corner. All corners share
+    /// one multi-lane tree traversal through the [`BatchAnalyzer`] — the
+    /// summaries are bit for bit what per-corner
+    /// [`snr_timing::analyze_at_corner`] calls would produce under the
+    /// optimizer's Elmore metric.
     fn corner_summaries(&self, assignment: &Assignment) -> Vec<TimingSummary> {
-        if self.analysis_opts.metric == DelayMetric::Elmore {
-            self.batch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .run_at_corners(self.tree, self.tech, assignment, &self.corners)
-                .to_vec()
-        } else {
-            self.corners
-                .iter()
-                .map(|&c| {
-                    let at = snr_timing::analyze_at_corner(
-                        self.tree,
-                        self.tech,
-                        assignment,
-                        c,
-                        &self.analysis_opts,
-                    );
-                    TimingSummary {
-                        latency_ps: at.latency_ps(),
-                        min_arrival_ps: at.min_arrival_ps(),
-                        max_slew_ps: at.max_slew_ps(),
-                    }
-                })
-                .collect()
-        }
+        self.batch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .run_at_corners(self.tree, self.tech, assignment, &self.corners)
+            .to_vec()
     }
 
     /// Conservative-baseline skew at each corner — assignment-independent,

@@ -54,10 +54,10 @@ impl SmartNdr {
         self
     }
 
-    /// Returns a copy with both constructions probing on `parallelism`
-    /// workers. Results stay bit-identical to the serial flow.
+    /// Returns a copy whose upgrade-repair construction probes on
+    /// `parallelism` workers; the downgrade passes always run serially.
+    /// Results stay bit-identical to the serial flow.
     pub fn with_parallelism(mut self, parallelism: snr_par::Parallelism) -> Self {
-        self.downgrade = self.downgrade.with_parallelism(parallelism);
         self.upgrade = self.upgrade.with_parallelism(parallelism);
         self
     }

@@ -1,12 +1,13 @@
 //! Dual construction: repair the all-default tree by targeted upgrades.
 
-use crate::session::{run_probe_job, ProbeJob};
 use crate::supervise::Meter;
 use crate::{
-    panic_message, Budget, DegradationEvent, NdrOptimizer, OptContext, Prober, SupervisedRun,
+    panic_message, Budget, CandidateEval, DegradationEvent, EvalSession, NdrOptimizer,
+    OptContext, SupervisedRun,
 };
 use snr_cts::{Assignment, NodeId};
-use snr_par::{pool_scope, Parallelism};
+use snr_par::{pool_scope, Parallelism, PoolHandle};
+use snr_tech::RuleId;
 use snr_timing::TimingReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -51,8 +52,8 @@ impl GreedyUpgradeRepair {
         self
     }
 
-    /// Returns a copy probing candidate upgrades concurrently on per-thread
-    /// cloned incremental engines. Identical result to the serial run for
+    /// Returns a copy probing candidate upgrades concurrently on a pool of
+    /// forked evaluation sessions. Identical result to the serial run for
     /// any job count: probes are read-only, the best-score selection keeps
     /// the serial candidate order (strict `>` — lowest candidate index wins
     /// ties), and every commit happens on the main session.
@@ -177,10 +178,11 @@ impl GreedyUpgradeRepair {
             // The candidate pool of one iteration is usually tens of edges;
             // cap the pool at the job count (engine clones are not free).
             let workers = self.parallelism.jobs().max(2);
-            let probers: Vec<Prober<'_, '_>> = (0..workers).map(|_| session.prober()).collect();
+            let forks: Vec<EvalSession<'_, '_>> = (0..workers).map(|_| session.fork()).collect();
             let session = &mut session;
             let m = &mut meter;
-            pool_scope(probers, &run_probe_job, move |pool| {
+            let handler = |fork: &mut EvalSession<'_, '_>, job| run_probe_job(ctx, fork, job);
+            pool_scope(forks, &handler, move |pool| {
                 self.repair_loop(ctx, session, Some(pool), m);
             });
         } else {
@@ -212,15 +214,15 @@ impl GreedyUpgradeRepair {
     }
 
     /// The repair loop shared by the serial and parallel paths. With a
-    /// pool, candidate probes fan out across the probers (read-only) and
-    /// every commit is broadcast back so the probers track the session;
+    /// pool, candidate probes fan out across the forks (read-only) and
+    /// every commit is broadcast back so the forks track the session;
     /// scoring always walks candidates in their serial order with a strict
     /// `>` comparison, so both paths pick the same upgrade every iteration.
     fn repair_loop<'c, 'a, 'h>(
         &self,
         ctx: &'c OptContext<'a>,
-        session: &mut crate::EvalSession<'c, 'a>,
-        mut pool: Option<&mut snr_par::PoolHandle<'h, Prober<'c, 'a>, ProbeJob, Option<crate::CandidateEval>>>,
+        session: &mut EvalSession<'c, 'a>,
+        mut pool: Option<&mut PoolHandle<'h, EvalSession<'c, 'a>, ProbeJob, Option<CandidateEval>>>,
         meter: &mut Meter<'_>,
     ) {
         let tree = ctx.tree();
@@ -252,7 +254,7 @@ impl GreedyUpgradeRepair {
                 break;
             }
             // Surviving (edge, next rule, added fF) triples, serial order.
-            let cands: Vec<(NodeId, snr_tech::RuleId, f64)> = candidates
+            let cands: Vec<(NodeId, RuleId, f64)> = candidates
                 .into_iter()
                 .filter_map(|e| {
                     let current = session.rule(e);
@@ -272,7 +274,7 @@ impl GreedyUpgradeRepair {
                 .collect();
             // Probe every candidate against the current committed state —
             // through the pool when parallel, through the session when not.
-            let evals: Vec<crate::CandidateEval> = match pool.as_deref_mut() {
+            let evals: Vec<CandidateEval> = match pool.as_deref_mut() {
                 Some(pool) => {
                     let w = pool.workers();
                     for (k, &(e, next, _)) in cands.iter().enumerate() {
@@ -299,7 +301,7 @@ impl GreedyUpgradeRepair {
             };
             // Best violation reduction per added capacitance; strict `>`
             // keeps the earliest candidate on ties.
-            let mut best: Option<(f64, NodeId, snr_tech::RuleId)> = None;
+            let mut best: Option<(f64, NodeId, RuleId)> = None;
             for (&(e, next, added_ff), eval) in cands.iter().zip(&evals) {
                 let new_violation =
                     constraints.violation_ps_of(eval.worst_slew_ps, eval.skew_ps);
@@ -356,6 +358,40 @@ impl GreedyUpgradeRepair {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The job protocol of the upgrade-repair pool: probe a candidate on a
+/// forked session and discard it (returns the eval), or replay a move set
+/// the main session committed so the fork tracks it (returns `None`).
+#[derive(Clone)]
+enum ProbeJob {
+    /// Evaluate and discard.
+    Probe(Vec<(NodeId, RuleId)>),
+    /// Replay a move set the main session committed.
+    Apply(Vec<(NodeId, RuleId)>),
+}
+
+fn run_probe_job(
+    _ctx: &OptContext<'_>,
+    fork: &mut EvalSession<'_, '_>,
+    job: ProbeJob,
+) -> Option<CandidateEval> {
+    match job {
+        ProbeJob::Probe(moves) => {
+            // Probe faults fire here and only here: the serial path never
+            // sends pool jobs, so a parallel→serial retry is always clean.
+            #[cfg(feature = "fault-inject")]
+            _ctx.on_parallel_probe();
+            let eval = fork.try_moves(&moves);
+            fork.rollback();
+            Some(eval)
+        }
+        ProbeJob::Apply(moves) => {
+            fork.try_moves(&moves);
+            fork.commit();
+            None
         }
     }
 }

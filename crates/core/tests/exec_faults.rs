@@ -5,8 +5,7 @@
 #![cfg(feature = "fault-inject")]
 
 use snr_core::{
-    DegradationEvent, ExecFault, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext,
-    Parallelism,
+    DegradationEvent, ExecFault, GreedyUpgradeRepair, NdrOptimizer, OptContext, Parallelism,
 };
 use snr_cts::{synthesize, ClockTree, CtsOptions};
 use snr_netlist::BenchmarkSpec;
@@ -20,10 +19,11 @@ fn fixture(sinks: usize, seed: u64) -> (ClockTree, Technology) {
     (tree, tech)
 }
 
-/// Runs `opt` serially on a clean context: the reference result.
+/// Runs upgrade-repair (the optimizer with a probe pool) serially on a
+/// clean context: the reference result.
 fn clean_serial(tree: &ClockTree, tech: &Technology) -> snr_cts::Assignment {
     let ctx = OptContext::new(tree, tech, PowerModel::new(1.0));
-    GreedyDowngrade::default().assign(&ctx)
+    GreedyUpgradeRepair::default().assign(&ctx)
 }
 
 #[test]
@@ -34,7 +34,7 @@ fn probe_panic_takes_parallel_to_serial_rung_and_matches_serial_result() {
     std::panic::set_hook(Box::new(|_| {}));
     let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0))
         .with_exec_fault(ExecFault::ProbePanic { at_probe: 3 });
-    let run = GreedyDowngrade::default()
+    let run = GreedyUpgradeRepair::default()
         .with_parallelism(Parallelism::new(2))
         .assign_supervised(&ctx);
     let _ = std::panic::take_hook();
@@ -43,8 +43,8 @@ fn probe_panic_takes_parallel_to_serial_rung_and_matches_serial_result() {
         rungs.contains(&"parallel_to_serial"),
         "worker panic must be recorded as a ladder rung, got {rungs:?}"
     );
-    // The serial retry never constructs a prober, so the fault cannot
-    // re-fire: the recovered result is the clean serial one.
+    // The serial retry never sends pool jobs, so the fault cannot re-fire:
+    // the recovered result is the clean serial one.
     assert_eq!(run.assignment, reference, "serial retry must reproduce the clean result");
     let detail = run
         .degradations
@@ -61,7 +61,7 @@ fn probe_stall_is_absorbed_without_degradation() {
     let reference = clean_serial(&tree, &tech);
     let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0))
         .with_exec_fault(ExecFault::ProbeStall { at_probe: 2, millis: 5 });
-    let run = GreedyDowngrade::default()
+    let run = GreedyUpgradeRepair::default()
         .with_parallelism(Parallelism::new(2))
         .assign_supervised(&ctx);
     // A slow worker is not an error: no rung, identical result.
@@ -79,7 +79,7 @@ fn injected_divergence_with_parallel_probes_falls_back_identically_to_serial() {
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0))
             .with_divergence_guard(1, 1e-6)
             .with_exec_fault(ExecFault::Divergence { at_commit: 2, delta_ps: 1e-3 });
-        let opt = GreedyDowngrade::default().with_parallelism(if par {
+        let opt = GreedyUpgradeRepair::default().with_parallelism(if par {
             Parallelism::new(4)
         } else {
             Parallelism::serial()

@@ -1,11 +1,10 @@
 //! Parallel candidate evaluation must reproduce the serial algorithms
 //! exactly: probes are read-only, winners follow the serial trial order,
-//! and commits replay on cloned engines — so for any job count the final
+//! and commits replay on forked sessions — so for any job count the final
 //! assignment is bit-identical to `Parallelism::serial()`.
 
 use snr_core::{
-    Constraints, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext, Parallelism,
-    SmartNdr,
+    Constraints, GreedyUpgradeRepair, NdrOptimizer, OptContext, Parallelism, SmartNdr,
 };
 use snr_cts::{synthesize, ClockTree, CtsOptions};
 use snr_netlist::BenchmarkSpec;
@@ -23,20 +22,6 @@ fn designs() -> Vec<(ClockTree, Technology)> {
             (tree, tech)
         })
         .collect()
-}
-
-#[test]
-fn greedy_downgrade_parallel_equals_serial() {
-    for (i, (tree, tech)) in designs().iter().enumerate() {
-        let ctx = OptContext::new(tree, tech, PowerModel::new(1.0));
-        let serial = GreedyDowngrade::default().assign(&ctx);
-        for jobs in [2, 8] {
-            let par = GreedyDowngrade::default()
-                .with_parallelism(Parallelism::new(jobs))
-                .assign(&ctx);
-            assert_eq!(serial, par, "design {i}, jobs={jobs}");
-        }
-    }
 }
 
 #[test]
@@ -58,10 +43,7 @@ fn smart_ndr_with_parallel_components_equals_serial() {
     let (tree, tech) = designs().remove(0);
     let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
     let serial = SmartNdr::default().assign(&ctx);
-    let par = SmartNdr::default()
-        .with_downgrade(GreedyDowngrade::default().with_parallelism(Parallelism::new(4)))
-        .with_upgrade(GreedyUpgradeRepair::default().with_parallelism(Parallelism::new(4)))
-        .assign(&ctx);
+    let par = SmartNdr::default().with_parallelism(Parallelism::new(4)).assign(&ctx);
     assert_eq!(serial, par);
 }
 
@@ -71,8 +53,8 @@ fn parallel_equals_serial_under_tight_constraints() {
     let (tree, tech) = designs().remove(1);
     let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0))
         .with_constraints(Constraints::relative(&tree, &tech, 1.03, 8.0));
-    let serial = GreedyDowngrade::default().assign(&ctx);
-    let par = GreedyDowngrade::default()
+    let serial = GreedyUpgradeRepair::default().assign(&ctx);
+    let par = GreedyUpgradeRepair::default()
         .with_parallelism(Parallelism::new(3))
         .assign(&ctx);
     assert_eq!(serial, par);

@@ -20,37 +20,41 @@ fn fixture(sinks: usize, seed: u64) -> (ClockTree, Technology) {
 }
 
 #[test]
-fn iteration_capped_greedy_is_anytime_and_deterministic_across_jobs() {
+fn iteration_capped_runs_are_anytime_and_deterministic_across_jobs() {
     let (tree, tech) = fixture(96, 11);
     let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0));
     let baseline = Uniform::conservative().optimize(&ctx);
+    let cap = || Budget::unlimited().with_max_iters(7);
 
-    let mut results = Vec::new();
+    // The serial downgrade construction, then the full flow at every job
+    // count (its upgrade-repair pass probes on a pool when jobs > 1).
+    let greedy = GreedyDowngrade::default().with_budget(cap()).optimize(&ctx);
+    let mut runs = vec![("greedy".to_owned(), greedy)];
     for jobs in [1usize, 2, 8] {
-        let out = GreedyDowngrade::default()
-            .with_parallelism(Parallelism::new(jobs))
-            .with_budget(Budget::unlimited().with_max_iters(7))
-            .optimize(&ctx);
+        let smart = SmartNdr::default().with_parallelism(Parallelism::new(jobs)).with_budget(cap());
+        runs.push((format!("smart jobs={jobs}"), smart.optimize(&ctx)));
+    }
+    for (label, out) in &runs {
         // Anytime: the capped run is still feasible and no worse than the
         // conservative baseline it started from.
-        assert!(out.meets_constraints(), "jobs={jobs}: capped run must stay feasible");
+        assert!(out.meets_constraints(), "{label}: capped run must stay feasible");
         assert!(
             out.power().network_uw() <= baseline.power().network_uw() + 1e-9,
-            "jobs={jobs}: capped power {} must not exceed uniform-2W2S {}",
+            "{label}: capped power {} must not exceed uniform-2W2S {}",
             out.power().network_uw(),
             baseline.power().network_uw()
         );
         // The receipt says the cap bound.
-        assert!(out.budget_exhausted(), "jobs={jobs}: 7 iterations must exhaust the cap");
+        assert!(out.budget_exhausted(), "{label}: 7 iterations must exhaust the cap");
         for b in out.budget_reports() {
-            assert!(b.iterations_done <= 7, "jobs={jobs}: {b:?} overran the cap");
+            assert!(b.iterations_done <= 7, "{label}: {b:?} overran the cap");
         }
-        results.push((out.assignment().clone(), out.power().network_uw()));
     }
     // Deterministic when the iteration cap binds: identical assignment and
     // power for every job count.
-    assert_eq!(results[0], results[1], "jobs 1 vs 2 diverged under the cap");
-    assert_eq!(results[0], results[2], "jobs 1 vs 8 diverged under the cap");
+    let result = |i: usize| (runs[i].1.assignment().clone(), runs[i].1.power().network_uw());
+    assert_eq!(result(1), result(2), "smart jobs 1 vs 2 diverged under the cap");
+    assert_eq!(result(1), result(3), "smart jobs 1 vs 8 diverged under the cap");
 }
 
 #[test]

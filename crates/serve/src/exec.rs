@@ -538,9 +538,7 @@ fn acquire_warm(
 fn make_optimizer(method: Method, budget: Budget, par: Parallelism) -> Box<dyn NdrOptimizer> {
     match method {
         Method::Smart => Box::new(SmartNdr::default().with_budget(budget).with_parallelism(par)),
-        Method::Greedy => {
-            Box::new(GreedyDowngrade::default().with_budget(budget).with_parallelism(par))
-        }
+        Method::Greedy => Box::new(GreedyDowngrade::default().with_budget(budget)),
         Method::Upgrade => {
             Box::new(GreedyUpgradeRepair::default().with_budget(budget).with_parallelism(par))
         }

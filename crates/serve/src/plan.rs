@@ -317,6 +317,15 @@ fn design_input(source: &DesignSource) -> Result<DesignInput, ApiError> {
     })
 }
 
+/// Turns a requested job count into a [`Parallelism`] no wider than the
+/// host. Output is jobs-invariant, so threads beyond the core count buy
+/// nothing — and tens of thousands of them abort the process when their
+/// stacks can no longer be mapped.
+fn clamped_parallelism(jobs: usize) -> Parallelism {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Parallelism::new(jobs.min(cores))
+}
+
 fn plan_run(req: &RunRequest) -> Result<RunPlan, ApiError> {
     if !req.timeout_s.is_finite() || req.timeout_s < 0.0 {
         return Err(ApiError::usage(format!(
@@ -336,7 +345,7 @@ fn plan_run(req: &RunRequest) -> Result<RunPlan, ApiError> {
         slew_margin: req.slew_margin,
         skew_budget_ps: req.skew_budget_ps,
         mc_samples: req.mc_samples,
-        jobs: req.jobs.map(Parallelism::new),
+        jobs: req.jobs.map(clamped_parallelism),
         timeout_s: req.timeout_s,
         max_iters: req.max_iters,
         cache: req.cache,
@@ -375,7 +384,7 @@ fn plan_pareto(req: &ParetoRequest) -> Result<ParetoPlan, ApiError> {
         spec,
         points,
         eval,
-        jobs: req.jobs.map(Parallelism::new),
+        jobs: req.jobs.map(clamped_parallelism),
         timeout_s: req.timeout_s,
         max_points: req.max_points,
         cache: req.cache,
@@ -478,7 +487,7 @@ fn plan_suite(req: &SuiteRequest) -> Result<SuitePlan, ApiError> {
     Ok(SuitePlan {
         entries,
         tech: req.tech.resolve(),
-        par: req.jobs.map(Parallelism::new).unwrap_or_else(Parallelism::serial),
+        par: req.jobs.map(clamped_parallelism).unwrap_or_else(Parallelism::serial),
         prefilled,
         cache: req.cache,
     })

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Chaos/soak gate for the run-supervision layer: the seeded fault-injection
-# soak (128 seeds × {probe panic, probe stall, forced divergence} plus the
-# crash-safe-writer cycle) and a real kill-and-resume round-trip of
+# soak (128 seeds × {probe panic, probe stall, forced divergence}; the probe
+# faults strike upgrade-repair's probe pool, the only optimizer with one —
+# plus the crash-safe-writer cycle) and a real kill-and-resume round-trip of
 # `smart-ndr suite`. Everything sits under an outer timeout so a hang is a
 # failure, not a stuck CI job. Exits non-zero on the first failure.
 set -euo pipefail

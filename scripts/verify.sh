@@ -185,6 +185,11 @@ fi
 # (the full 256-seed run already happened in the workspace test step).
 IMPORT_FUZZ_CASES=32 cargo test -q --test import_fuzz corrupted_imports >/dev/null
 
+step "perfbench builds and passes its tests"
+# The benchmark crate sits outside the workspace, so the steps above never
+# compile it; an API it uses could disappear unseen.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 step "chaos soak + kill-and-resume (scripts/soak.sh)"
 scripts/soak.sh
 

@@ -37,10 +37,14 @@
 //!
 //! # Parallelism and panics
 //!
-//! `--jobs <N>` (alias `-j <N>`) runs the Monte Carlo samples of `run --mc`
-//! and the per-design flow of `suite` on `N` worker threads. Output is
-//! bit-identical for every job count: sample seeds are derived per index and
-//! rows print in suite order. Worker panics never abort the process:
+//! `--jobs <N>` (alias `-j <N>`) runs the Monte Carlo samples of `run --mc`,
+//! the upgrade-repair candidate probes of `run --method upgrade|smart` and
+//! the per-design flow of `suite` on `N` worker threads (the downgrade
+//! passes of `greedy` and `smart` always probe serially). `N` is clamped to
+//! the host's available parallelism. Output is bit-identical for every job
+//! count: sample seeds are derived per index, probe winners follow the
+//! serial trial order, and rows print in suite order. Worker panics never
+//! abort the process:
 //!
 //! * `suite` catches a panicking design inside its worker and prints a
 //!   `FAILED` row with the truncated panic message in the reason column

@@ -9,8 +9,8 @@
 //! soak stays fast while the fault parameters sweep.
 
 use smart_ndr::core::{
-    DegradationEvent, ExecFault, GreedyDowngrade, NdrOptimizer, OptContext, Parallelism,
-    SupervisedRun,
+    DegradationEvent, ExecFault, GreedyDowngrade, GreedyUpgradeRepair, NdrOptimizer, OptContext,
+    Parallelism, SupervisedRun,
 };
 use smart_ndr::cts::{synthesize, Assignment, ClockTree, CtsOptions};
 use smart_ndr::netlist::BenchmarkSpec;
@@ -21,9 +21,11 @@ use std::path::PathBuf;
 const SEEDS: u64 = 128;
 
 /// A small pool of trees shared by every seed: the fault parameters vary
-/// per seed, the designs need not.
+/// per seed, the designs need not. Each one violates the envelope at the
+/// all-default start, so upgrade-repair probes well past the highest
+/// `at_probe` the sweep arms.
 fn fixtures() -> Vec<(ClockTree, Technology)> {
-    [(40usize, 2u64), (56, 9), (72, 17), (88, 23)]
+    [(64usize, 5u64), (56, 9), (72, 17), (88, 23)]
         .into_iter()
         .map(|(sinks, seed)| {
             let design =
@@ -35,9 +37,16 @@ fn fixtures() -> Vec<(ClockTree, Technology)> {
         .collect()
 }
 
-fn clean_reference(tree: &ClockTree, tech: &Technology) -> Assignment {
+/// Clean serial references: (downgrade, upgrade-repair).
+fn clean_references(tree: &ClockTree, tech: &Technology) -> (Assignment, Assignment) {
     let ctx = OptContext::new(tree, tech, PowerModel::new(1.0));
-    GreedyDowngrade::default().assign(&ctx)
+    (GreedyDowngrade::default().assign(&ctx), GreedyUpgradeRepair::default().assign(&ctx))
+}
+
+/// Upgrade-repair on a two-worker probe pool — the optimizer whose pool
+/// probe faults strike.
+fn pooled_upgrade(ctx: &OptContext<'_>) -> SupervisedRun {
+    GreedyUpgradeRepair::default().with_parallelism(Parallelism::new(2)).assign_supervised(ctx)
 }
 
 fn supervised_with_fault(
@@ -45,12 +54,13 @@ fn supervised_with_fault(
     tech: &Technology,
     fault: ExecFault,
     guard_every: bool,
+    run: impl Fn(&OptContext<'_>) -> SupervisedRun,
 ) -> SupervisedRun {
     let mut ctx = OptContext::new(tree, tech, PowerModel::new(1.0)).with_exec_fault(fault);
     if guard_every {
         ctx = ctx.with_divergence_guard(1, 1e-6);
     }
-    GreedyDowngrade::default().with_parallelism(Parallelism::new(2)).assign_supervised(&ctx)
+    run(&ctx)
 }
 
 fn rungs(run: &SupervisedRun) -> Vec<&'static str> {
@@ -60,8 +70,8 @@ fn rungs(run: &SupervisedRun) -> Vec<&'static str> {
 #[test]
 fn chaos_soak_recovers_from_every_injected_fault() {
     let pool = fixtures();
-    let references: Vec<Assignment> =
-        pool.iter().map(|(tree, tech)| clean_reference(tree, tech)).collect();
+    let references: Vec<(Assignment, Assignment)> =
+        pool.iter().map(|(tree, tech)| clean_references(tree, tech)).collect();
     // The injected worker panics are expected; silence exactly those while
     // keeping real assertion failures loud.
     let prev_hook = std::panic::take_hook();
@@ -79,7 +89,7 @@ fn chaos_soak_recovers_from_every_injected_fault() {
     let mut guard_trips = 0usize;
     for seed in 0..SEEDS {
         let (tree, tech) = &pool[(seed % pool.len() as u64) as usize];
-        let reference = &references[(seed % pool.len() as u64) as usize];
+        let (greedy_ref, upgrade_ref) = &references[(seed % pool.len() as u64) as usize];
 
         // Fault parameters sweep with the seed.
         let panic_run = supervised_with_fault(
@@ -87,6 +97,7 @@ fn chaos_soak_recovers_from_every_injected_fault() {
             tech,
             ExecFault::ProbePanic { at_probe: seed % 11 },
             false,
+            pooled_upgrade,
         );
         assert!(
             rungs(&panic_run).contains(&"parallel_to_serial"),
@@ -94,7 +105,7 @@ fn chaos_soak_recovers_from_every_injected_fault() {
             panic_run.degradations
         );
         assert_eq!(
-            &panic_run.assignment, reference,
+            &panic_run.assignment, upgrade_ref,
             "seed {seed}: panic recovery must reproduce the clean serial result"
         );
 
@@ -103,13 +114,14 @@ fn chaos_soak_recovers_from_every_injected_fault() {
             tech,
             ExecFault::ProbeStall { at_probe: seed % 7, millis: 1 },
             false,
+            pooled_upgrade,
         );
         assert!(
             stall_run.degradations.is_empty(),
             "seed {seed}: a stalled worker is not a failure: {:?}",
             stall_run.degradations
         );
-        assert_eq!(&stall_run.assignment, reference, "seed {seed}: stall changed the result");
+        assert_eq!(&stall_run.assignment, upgrade_ref, "seed {seed}: stall changed the result");
 
         // Divergence injection: the corrupted stage aggregates may or may
         // not dominate the next commit's maxima (a perturbed non-critical
@@ -118,12 +130,10 @@ fn chaos_soak_recovers_from_every_injected_fault() {
         // result either way, and any recovery that does happen must be the
         // incremental→full rung. tests in crates/core/tests/exec_faults.rs
         // pin a configuration where detection is deterministic.
-        let diverge_run = supervised_with_fault(
-            tree,
-            tech,
-            ExecFault::Divergence { at_commit: 1 + (seed % 5) as usize, delta_ps: 1e-3 },
-            true,
-        );
+        let divergence =
+            ExecFault::Divergence { at_commit: 1 + (seed % 5) as usize, delta_ps: 1e-3 };
+        let greedy = |ctx: &OptContext<'_>| GreedyDowngrade::default().assign_supervised(ctx);
+        let diverge_run = supervised_with_fault(tree, tech, divergence, true, greedy);
         for rung in rungs(&diverge_run) {
             assert_eq!(
                 rung, "incremental_to_full",
@@ -132,8 +142,24 @@ fn chaos_soak_recovers_from_every_injected_fault() {
         }
         guard_trips += diverge_run.degradations.len();
         assert_eq!(
-            &diverge_run.assignment, reference,
+            &diverge_run.assignment, greedy_ref,
             "seed {seed}: guarded run must stay correct under corruption"
+        );
+
+        // The pooled upgrade-repair under the same fault: its forked
+        // workers replay every commit, so they carry the same corruption
+        // and take the guard's fallback exactly when the main session does.
+        // The invariant is serial == pooled, not == clean: upgrade scores
+        // are continuous, so probes made on the corrupted state before the
+        // guard catches it can legitimately tip a near-tie.
+        let serial_upgrade =
+            |ctx: &OptContext<'_>| GreedyUpgradeRepair::default().assign_supervised(ctx);
+        let serial = supervised_with_fault(tree, tech, divergence, true, serial_upgrade);
+        let pooled = supervised_with_fault(tree, tech, divergence, true, pooled_upgrade);
+        assert_eq!(rungs(&serial), rungs(&pooled), "seed {seed}: pool changed the ladder");
+        assert_eq!(
+            serial.assignment, pooled.assignment,
+            "seed {seed}: guarded upgrade-repair must not depend on jobs"
         );
     }
     assert!(guard_trips > 0, "the sweep must trip the divergence guard at least once");

@@ -280,6 +280,32 @@ fn hostile_pareto_import_export_requests_answer_typed_errors() {
     assert!(d.eof_and_wait().success());
 }
 
+/// A hostile job count must not take the daemon down: `jobs` far beyond
+/// the host's cores is clamped at planning time, so the request runs (its
+/// result byte-identical to the `jobs: 1` twin, since output is
+/// jobs-invariant) and the request queued behind it is still answered.
+#[test]
+fn huge_job_count_is_clamped_and_the_next_request_is_answered() {
+    let hostile = |id, jobs| {
+        run_request(id, 200, 3, &format!(", \"method\": \"smart\", \"jobs\": {jobs}"))
+    };
+    let mut d = Daemon::spawn(&["--jobs", "1"]);
+    d.send(&hostile(1, 20_000));
+    d.send(&run_request(2, 60, 2, ""));
+    d.send(&hostile(3, 1));
+    let finals = d.finals_for(&[1, 2, 3]);
+    assert!(d.eof_and_wait().success());
+    for id in [1, 2, 3] {
+        assert!(finals[&id].contains("\"ok\": true"), "id {id}: {}", finals[&id]);
+    }
+    let result = |id: u64| {
+        let line = &finals[&id];
+        let at = line.find("\"result\": ").unwrap_or_else(|| panic!("no result: {line}"));
+        normalize_runtime(&line[at..])
+    };
+    assert_eq!(result(1), result(3), "jobs must not change a byte of the result");
+}
+
 /// The drift pin: the daemon's `result` object and the one-shot CLI's
 /// `run --json` line are byte-identical (runtime fields normalized) —
 /// both are rendered by the same serializer, and this test keeps it that
