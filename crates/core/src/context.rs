@@ -5,7 +5,7 @@ use snr_cts::{Assignment, ClockTree, NodeId, NodeKind};
 use snr_netlist::TimingArc;
 use snr_power::{evaluate, PowerModel, PowerReport};
 use snr_tech::{Corner, Technology};
-use snr_timing::{AnalysisOptions, Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
+use snr_timing::{Analyzer, BatchAnalyzer, TimingReport, TimingSummary};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -265,7 +265,7 @@ impl<'a> OptContext<'a> {
         self.analyzer
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .run(self.tree, self.tech, assignment, &AnalysisOptions::default())
+            .run(self.tree, self.tech, assignment)
     }
 
     /// Evaluates the power of `assignment`.

@@ -310,12 +310,7 @@ mod tests {
         // Limits exactly at the conservative baseline: every downgrade
         // raises slew/skew, so nothing can move.
         let base = Assignment::uniform(&tree, tech.rules().most_conservative_id());
-        let rep = snr_timing::analyze(
-            &tree,
-            &tech,
-            &base,
-            &snr_timing::AnalysisOptions::default(),
-        );
+        let rep = snr_timing::analyze(&tree, &tech, &base);
         let ctx = OptContext::new(&tree, &tech, PowerModel::new(1.0)).with_constraints(
             Constraints::absolute(rep.max_slew_ps() + 1e-9, rep.skew_ps().max(1e-6) + 1e-9),
         );

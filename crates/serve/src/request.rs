@@ -314,20 +314,6 @@ pub enum SuiteSource {
     Dir(String),
 }
 
-/// A pre-completed suite row carried by a resuming request: rows restored
-/// from a journal are returned as-is instead of being re-evaluated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrefilledRow {
-    /// Design name (the resume key).
-    pub name: String,
-    /// The deterministic table line.
-    pub line: String,
-    /// Optional stderr diagnostic.
-    pub diagnostic: Option<String>,
-    /// Whether the row had FAILED.
-    pub failed: bool,
-}
-
 /// A `suite` request: the headline table over many designs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteRequest {
@@ -337,8 +323,6 @@ pub struct SuiteRequest {
     pub tech: TechId,
     /// Worker threads across designs; `None` = serial.
     pub jobs: Option<usize>,
-    /// Rows already completed by an earlier interrupted run.
-    pub prefilled: Vec<PrefilledRow>,
     /// Cache participation (`--no-cache` / `"cache": "off"` bypasses the
     /// per-row result store).
     pub cache: CacheMode,
@@ -606,7 +590,6 @@ impl Envelope {
                 },
                 tech: tech_of(v)?,
                 jobs: jobs_of(v)?,
-                prefilled: Vec::new(),
                 cache: cache_of(v)?,
             })),
             "stats" => Op::Control(Control::Stats),

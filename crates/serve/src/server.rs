@@ -208,7 +208,7 @@ struct Job {
 fn send<W: Write>(out: &Mutex<W>, line: &str) {
     let mut out = lock(out);
     // A broken pipe means the client is gone; the daemon keeps draining
-    // its queue (journal-style side effects still matter) and exits on
+    // its queue (result-store writes still matter) and exits on
     // EOF as usual.
     let _ = writeln!(out, "{line}");
     let _ = out.flush();

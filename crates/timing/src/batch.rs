@@ -20,7 +20,7 @@
 //! sweeps rely on this to keep their determinism contracts unchanged.
 //!
 //! The kernel computes Elmore arrivals and PERI slews — the constraint
-//! metrics. D2M reporting refinement stays on the serial path.
+//! metrics.
 //!
 //! # Examples
 //!
@@ -28,7 +28,7 @@
 //! use snr_netlist::BenchmarkSpec;
 //! use snr_tech::Technology;
 //! use snr_cts::{synthesize, Assignment, CtsOptions};
-//! use snr_timing::{analyze_at_corner, AnalysisOptions, BatchAnalyzer};
+//! use snr_timing::{analyze_at_corner, BatchAnalyzer};
 //!
 //! let design = BenchmarkSpec::new("demo", 48).seed(1).build()?;
 //! let tech = Technology::n45();
@@ -39,7 +39,7 @@
 //! let mut batch = BatchAnalyzer::new();
 //! let lanes = batch.run_at_corners(&tree, &tech, &asg, &corners).to_vec();
 //! for (lane, &corner) in lanes.iter().zip(&corners) {
-//!     let serial = analyze_at_corner(&tree, &tech, &asg, corner, &AnalysisOptions::default());
+//!     let serial = analyze_at_corner(&tree, &tech, &asg, corner);
 //!     assert_eq!(lane.latency_ps, serial.latency_ps());
 //!     assert_eq!(lane.max_slew_ps, serial.max_slew_ps());
 //! }
@@ -668,7 +668,7 @@ fn kernel<const PER_EDGE: bool, const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, analyze_at_corner, AnalysisOptions, Analyzer};
+    use crate::{analyze, analyze_at_corner, Analyzer};
     use snr_cts::{synthesize, CtsOptions};
     use snr_netlist::BenchmarkSpec;
 
@@ -689,7 +689,7 @@ mod tests {
         assert_eq!(lanes.len(), corners.len());
         for (lane, &corner) in lanes.iter().zip(&corners) {
             let serial =
-                analyze_at_corner(&tree, &tech, &asg, corner, &AnalysisOptions::default());
+                analyze_at_corner(&tree, &tech, &asg, corner);
             assert_eq!(lane.latency_ps, serial.latency_ps());
             assert_eq!(lane.min_arrival_ps, serial.min_arrival_ps());
             assert_eq!(lane.max_slew_ps, serial.max_slew_ps());
@@ -717,13 +717,7 @@ mod tests {
         for (l, lane) in lanes.iter().enumerate() {
             let rs: Vec<f64> = (0..n).map(|v| r[v * k + l]).collect();
             let cs: Vec<f64> = (0..n).map(|v| c[v * k + l]).collect();
-            let rep = serial.run_scaled(
-                &tree,
-                &tech,
-                &asg,
-                Some((&rs, &cs)),
-                &AnalysisOptions::default(),
-            );
+            let rep = serial.run_scaled(&tree, &tech, &asg, Some((&rs, &cs)));
             assert_eq!(lane.latency_ps, rep.latency_ps(), "lane {l}");
             assert_eq!(lane.min_arrival_ps, rep.min_arrival_ps(), "lane {l}");
             assert_eq!(lane.max_slew_ps, rep.max_slew_ps(), "lane {l}");
@@ -738,7 +732,7 @@ mod tests {
         let ones = vec![1.0; n];
         let mut batch = BatchAnalyzer::new();
         let lane = batch.run_scaled(&tree, &tech, &asg, 1, &ones, &ones)[0];
-        let rep = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let rep = analyze(&tree, &tech, &asg);
         assert_eq!(lane.latency_ps, rep.latency_ps());
         assert_eq!(lane.skew_ps(), rep.skew_ps());
         assert_eq!(lane.max_slew_ps, rep.max_slew_ps());
@@ -770,7 +764,7 @@ mod tests {
             .run_at_corners(&tree, &tech, &asg, &[Corner::typical(), Corner::slow()])
             .to_vec();
         let serial =
-            analyze_at_corner(&tree, &tech, &asg, Corner::slow(), &AnalysisOptions::default());
+            analyze_at_corner(&tree, &tech, &asg, Corner::slow());
         assert_eq!(lanes[1].latency_ps, serial.latency_ps());
         assert_eq!(lanes[1].max_slew_ps, serial.max_slew_ps());
     }

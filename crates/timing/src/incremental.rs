@@ -23,10 +23,6 @@
 //! instead of one running sum, which reorders the floating-point additions
 //! and bounds the disagreement at well under 1e-9 ps on realistic trees.
 //!
-//! Only the Elmore metric is supported — it is the metric the optimizer
-//! constrains (monotone in every edge parasitic); D2M reporting still goes
-//! through the full [`Analyzer`].
-//!
 //! [`Analyzer`]: crate::Analyzer
 //!
 //! # Examples
@@ -742,7 +738,7 @@ impl IncrementalAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, analyze_at_corner, AnalysisOptions};
+    use crate::{analyze, analyze_at_corner};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use snr_cts::{synthesize, CtsOptions};
@@ -781,7 +777,7 @@ mod tests {
         let (tree, tech) = setup(200, 11);
         let asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
         let inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full);
         for id in tree.topo_order() {
             assert!((inc.arrival_ps(id) - full.arrival_ps(id)).abs() < 1e-9);
@@ -807,7 +803,7 @@ mod tests {
         let cand = inc.try_edge(&tree, &tech, edge, rules.default_id());
         let mut modified = asg.clone();
         modified.set(edge, rules.default_id());
-        let full = analyze(&tree, &tech, &modified, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &modified);
         assert_summary_close(cand, &full);
         // Candidate per-node views match too.
         for id in tree.topo_order() {
@@ -819,7 +815,7 @@ mod tests {
         assert_eq!(inc.summary(), before);
         assert_eq!(inc.rule(edge), rules.most_conservative_id());
         let full_before =
-            analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+            analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full_before);
     }
 
@@ -837,7 +833,7 @@ mod tests {
         assert_eq!(inc.rule(edge), RuleId(1));
 
         asg.set(edge, RuleId(1));
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full);
         for id in tree.topo_order() {
             assert!((inc.arrival_ps(id) - full.arrival_ps(id)).abs() < 1e-9);
@@ -855,7 +851,6 @@ mod tests {
         let mut asg = Assignment::uniform(&tree, rules.most_conservative_id());
         let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
         let mut rng = StdRng::seed_from_u64(99);
-        let o = AnalysisOptions::default();
 
         for step in 0..200 {
             let e = edges[rng.gen_range(0..edges.len())];
@@ -863,7 +858,7 @@ mod tests {
             let cand = inc.try_edge(&tree, &tech, e, r);
             let mut trial = asg.clone();
             trial.set(e, r);
-            let full = analyze(&tree, &tech, &trial, &o);
+            let full = analyze(&tree, &tech, &trial);
             assert_summary_close(cand, &full);
             // Alternate commit/rollback to exercise both paths.
             if step % 3 == 0 {
@@ -872,7 +867,7 @@ mod tests {
             } else {
                 inc.rollback();
             }
-            assert_summary_close(inc.summary(), &analyze(&tree, &tech, &asg, &o));
+            assert_summary_close(inc.summary(), &analyze(&tree, &tech, &asg));
         }
     }
 
@@ -892,7 +887,7 @@ mod tests {
         for &(e, r) in &moves {
             asg.set(e, r);
         }
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(cand, &full);
         inc.commit();
         assert_summary_close(inc.summary(), &full);
@@ -911,15 +906,14 @@ mod tests {
             corner.r_scale(),
             corner.c_scale(),
         );
-        let o = AnalysisOptions::default();
         assert_summary_close(
             inc.summary(),
-            &analyze_at_corner(&tree, &tech, &asg, corner, &o),
+            &analyze_at_corner(&tree, &tech, &asg, corner),
         );
         let edge = tree.edges().nth(3).unwrap();
         let cand = inc.try_edge(&tree, &tech, edge, rules.default_id());
         asg.set(edge, rules.default_id());
-        assert_summary_close(cand, &analyze_at_corner(&tree, &tech, &asg, corner, &o));
+        assert_summary_close(cand, &analyze_at_corner(&tree, &tech, &asg, corner));
     }
 
     #[test]
@@ -931,13 +925,13 @@ mod tests {
         let tech = Technology::n45();
         let asg = Assignment::uniform(&tree, tech.rules().default_id());
         let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
-        let full = analyze(&tree, &tech, &asg, &AnalysisOptions::default());
+        let full = analyze(&tree, &tech, &asg);
         assert_summary_close(inc.summary(), &full);
         let edge = tree.edges().last().unwrap();
         let cand = inc.try_edge(&tree, &tech, edge, tech.rules().most_conservative_id());
         let mut m = asg.clone();
         m.set(edge, tech.rules().most_conservative_id());
-        assert_summary_close(cand, &analyze(&tree, &tech, &m, &AnalysisOptions::default()));
+        assert_summary_close(cand, &analyze(&tree, &tech, &m));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates the performance artifacts: the criterion micro-benchmarks and
-# the BENCH_parallel.json / BENCH_cache.json / BENCH_timing.json /
-# BENCH_pareto.json records at the repository root.
+# Regenerates the performance artifacts: the criterion micro-benchmarks of
+# crates/bench/benches/pipeline.rs (CTS, analyzer, power, optimizer,
+# incremental-vs-full and Monte-Carlo groups) and the BENCH_parallel.json /
+# BENCH_cache.json / BENCH_timing.json / BENCH_pareto.json records at the
+# repository root.
 #
 #   scripts/bench.sh            full run (criterion + bench_parallel +
 #                               bench_cache + bench_timing + bench_pareto)
@@ -28,7 +30,9 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 0
 fi
 
-step "criterion benches"
+# The parallel paths are timed only by bench_parallel below, which asserts
+# parallel == serial first.
+step "criterion benches (pipeline)"
 cargo bench -p snr-bench
 
 step "bench_parallel (full)"

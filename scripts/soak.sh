@@ -3,8 +3,9 @@
 # soak (128 seeds × {probe panic, probe stall, forced divergence}; the probe
 # faults strike upgrade-repair's probe pool, the only optimizer with one —
 # plus the crash-safe-writer cycle) and a real kill-and-resume round-trip of
-# `smart-ndr suite`. Everything sits under an outer timeout so a hang is a
-# failure, not a stuck CI job. Exits non-zero on the first failure.
+# `smart-ndr suite`, which resumes from the result store it keeps beside
+# `--out` (`<out>.store/`). Everything sits under an outer timeout so a hang
+# is a failure, not a stuck CI job. Exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,28 +22,35 @@ BIN=target/release/smart-ndr
 T="$(mktemp -d)"
 trap 'rm -rf "$T"' EXIT
 mkdir "$T/pool"
+# Sized so one uninterrupted run takes a few seconds on a 2-core host and
+# the SIGKILL below lands mid-run, with rows already stored.
 for i in 1 2 3 4 5 6; do
-    "$BIN" gen --sinks $((160 + 40 * i)) --seed "$i" --out "$T/pool/d$i.sndr" >/dev/null
+    "$BIN" gen --sinks $((1200 + 400 * i)) --seed "$i" --out "$T/pool/d$i.sndr" >/dev/null
 done
+# Same sink count as d1, so the same design name: resume must tell the two
+# apart by content.
+"$BIN" gen --sinks 1600 --seed 7 --out "$T/pool/d7.sndr" >/dev/null
 
 # Reference: one uninterrupted run.
 timeout "$SOAK_TIMEOUT" "$BIN" suite --designs "$T/pool" --out "$T/ref.txt" >/dev/null
 
-# Victim: start, SIGKILL mid-flight, resume. Whatever progress the journal
-# captured is restored (not re-evaluated) and the resumed artifact must be
-# byte-identical to the reference; the journal and temp file must not
+# Victim: start, SIGKILL mid-flight, resume. Whatever rows the store
+# captured are replayed (not re-evaluated) and the resumed artifact must be
+# byte-identical to the reference; the store and temp file must not
 # survive the successful resume.
 "$BIN" suite --designs "$T/pool" --out "$T/victim.txt" >/dev/null 2>&1 &
 pid=$!
 sleep 0.4
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-timeout "$SOAK_TIMEOUT" "$BIN" suite --resume --designs "$T/pool" --out "$T/victim.txt" >/dev/null
+timeout "$SOAK_TIMEOUT" "$BIN" suite --resume --designs "$T/pool" --out "$T/victim.txt" \
+    >/dev/null 2> "$T/resume.err"
+grep "^store:" "$T/resume.err" || true
 cmp "$T/ref.txt" "$T/victim.txt" || {
     echo "FAIL: resumed artifact differs from the uninterrupted run" >&2; exit 1
 }
-if [ -e "$T/victim.txt.journal.jsonl" ]; then
-    echo "FAIL: journal outlived the successful resume" >&2; exit 1
+if [ -e "$T/victim.txt.store" ]; then
+    echo "FAIL: resume store outlived the successful resume" >&2; exit 1
 fi
 if [ -e "$T/victim.txt.tmp" ]; then
     echo "FAIL: temp file orphaned by the atomic write" >&2; exit 1
@@ -70,8 +78,8 @@ timeout "$SOAK_TIMEOUT" "$BIN" suite --resume --designs "$T/defpool" --out "$T/d
 cmp "$T/dref.txt" "$T/dvictim.txt" || {
     echo "FAIL: resumed imported-suite artifact differs from the uninterrupted run" >&2; exit 1
 }
-if [ -e "$T/dvictim.txt.journal.jsonl" ] || [ -e "$T/dvictim.txt.tmp" ]; then
-    echo "FAIL: journal or temp file outlived the successful imported-suite resume" >&2; exit 1
+if [ -e "$T/dvictim.txt.store" ] || [ -e "$T/dvictim.txt.tmp" ]; then
+    echo "FAIL: resume store or temp file outlived the successful imported-suite resume" >&2; exit 1
 fi
 
 echo

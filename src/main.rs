@@ -58,9 +58,11 @@
 //! caps every optimizer phase at `N` iterations; both are *anytime* bounds —
 //! the optimizer returns its best feasible solution so far and the `--json`
 //! output carries a `"supervision"` object (per-phase budget receipts plus
-//! the degradation-ladder record). `suite --out <FILE> --resume` journals
-//! each completed row to `<FILE>.journal.jsonl` and skips journaled rows on
-//! the next run; the final `--out` file is written atomically and is
+//! the degradation-ladder record). `suite --out <FILE>` persists each clean
+//! row to a result store at `<FILE>.store/` (or the explicit `--store`) as
+//! it completes, and `suite --resume` replays those rows instead of
+//! re-evaluating them; FAILED and degraded rows are never stored, so they
+//! re-run. The final `--out` file is written atomically and is
 //! byte-identical whether or not the run was interrupted.
 //!
 //! # Serve mode
@@ -76,23 +78,21 @@ use smart_ndr::core::{NdrOptimizer, OptContext, SmartNdr};
 use smart_ndr::cts::{save_assignment, svg::render_svg, svg::SvgOptions, synthesize, CtsOptions};
 use smart_ndr::netlist::{load_design, save_design, BenchmarkSpec, Design};
 use smart_ndr::power::PowerModel;
-use snr_fsio::{atomic_write, Journal};
-use snr_serve::json::json_escape;
+use snr_fsio::atomic_write;
 use snr_serve::render::{
     error_json, export_ndr_json, import_json, lint_json, pareto_human, pareto_json, run_human,
     run_json, suite_det_header, suite_header,
 };
 use snr_serve::{
     execute, plan, ApiCode, ApiError, CacheMode, DesignSource, Event, ExecCtx, ExportNdrRequest,
-    ImportRequest, LintRequest, Method, ParetoRequest, Plan, Request, Response, ResultStore,
-    RunRequest, ServeConfig, SuiteRequest, SuiteRow, SuiteSource, TechId,
+    ImportRequest, LintRequest, Method, ParetoRequest, Request, Response, ResultStore, RunRequest,
+    ServeConfig, SuiteRequest, SuiteSource, TechId,
 };
 use std::collections::HashMap;
 use std::fs;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Mutex;
 
 const USAGE: &str = "\
 smart-ndr: per-edge NDR assignment for clock power reduction
@@ -145,8 +145,9 @@ SUPERVISION:
   --timeout <SECS>    cooperative wall-clock deadline (0 = off); anytime —
                       the best feasible solution found so far is returned
   --max-iters <N>     per-phase iteration cap (0 = off); deterministic
-  suite --resume      skip rows journaled in <OUT>.journal.jsonl by an
-                      earlier interrupted run (requires --out)
+  suite --resume      replay rows an interrupted run stored in <OUT>.store/
+                      (or --store <DIR>) instead of re-evaluating them;
+                      requires --out, conflicts with --no-cache
 
 CACHING:
   --store <DIR>       durable content-addressed result store: clean runs
@@ -282,16 +283,33 @@ fn cache_of(flags: &HashMap<String, String>) -> CacheMode {
     }
 }
 
-/// Opens the durable result store named by `--store <DIR>`, if any. An
-/// unopenable store degrades to a warning — the run still computes.
+/// Opens the durable result store named by `--store <DIR>`, if any.
 fn store_of(flags: &HashMap<String, String>) -> Option<ResultStore> {
-    let dir = flags.get("store")?;
-    match ResultStore::open(Path::new(dir)) {
+    open_store(Path::new(flags.get("store")?))
+}
+
+/// Opens the result store at `dir`. An unopenable store degrades to a
+/// warning — the run still computes.
+fn open_store(dir: &Path) -> Option<ResultStore> {
+    match ResultStore::open(dir) {
         Ok(store) => Some(store),
         Err(e) => {
-            eprintln!("warning: result store disabled ({dir}: {e})");
+            eprintln!("warning: result store disabled ({}: {e})", dir.display());
             None
         }
+    }
+}
+
+/// The execution context of the store-backed one-shot commands (`run`,
+/// `pareto`, `suite`): no warm cache, and the only event surfaced is a
+/// quarantined store entry, as a stderr warning.
+fn store_ctx(store: Option<&ResultStore>) -> ExecCtx<'_> {
+    ExecCtx { cache: None, store, sink: Some(&warn_quarantined), on_token: None }
+}
+
+fn warn_quarantined(event: &Event) {
+    if let Event::StoreQuarantined { detail, .. } = event {
+        eprintln!("warning: {detail}; recomputing from scratch");
     }
 }
 
@@ -385,13 +403,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), ApiError> {
     };
 
     let plan = plan(&Request::Run(req))?;
-    let sink = |event: &Event| {
-        if let Event::StoreQuarantined { detail, .. } = event {
-            eprintln!("warning: {detail}; recomputing from scratch");
-        }
-    };
-    let ctx = ExecCtx { cache: None, store: store.as_ref(), sink: Some(&sink), on_token: None };
-    let resp = match execute(&plan, &ctx)? {
+    let resp = match execute(&plan, &store_ctx(store.as_ref()))? {
         Response::Run(resp) => resp,
         Response::Replayed(r) => {
             // The stored entry holds the cold run's rendered bytes, so a
@@ -491,13 +503,7 @@ fn cmd_pareto(flags: &HashMap<String, String>) -> Result<(), ApiError> {
 
     let store = store_of(flags);
     let plan = plan(&Request::Pareto(req))?;
-    let sink = |event: &Event| {
-        if let Event::StoreQuarantined { detail, .. } = event {
-            eprintln!("warning: {detail}; recomputing from scratch");
-        }
-    };
-    let ctx = ExecCtx { cache: None, store: store.as_ref(), sink: Some(&sink), on_token: None };
-    let resp = match execute(&plan, &ctx)? {
+    let resp = match execute(&plan, &store_ctx(store.as_ref()))? {
         Response::Pareto(resp) => resp,
         _ => unreachable!("pareto plans produce pareto responses"),
     };
@@ -724,60 +730,12 @@ fn cmd_mesh(flags: &HashMap<String, String>) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// The journal path for a `suite --out` file: `<out>.journal.jsonl`.
-fn journal_path(out: &Path) -> PathBuf {
+/// The implicit result store beside a `suite --out <FILE>` artifact:
+/// `<FILE>.store/`.
+fn implicit_store_dir(out: &Path) -> PathBuf {
     let mut os = out.as_os_str().to_owned();
-    os.push(".journal.jsonl");
+    os.push(".store");
     PathBuf::from(os)
-}
-
-/// One journal line for a completed row: flat JSON with the fields needed
-/// to reproduce the row byte-identically on `--resume`.
-fn journal_record(row: &SuiteRow) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"failed\": {}, \"line\": \"{}\", \"diag\": \"{}\"}}",
-        json_escape(&row.name),
-        row.failed,
-        json_escape(&row.line),
-        json_escape(row.diagnostic.as_deref().unwrap_or("")),
-    )
-}
-
-/// Extracts and unescapes the string value of `key` from a flat one-line
-/// JSON object written by [`journal_record`]. `None` on malformed input.
-fn json_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                c => out.push(c),
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses one journal line back into a (resumed) row. Malformed lines
-/// return `None` and the design is simply re-evaluated.
-fn journal_row(line: &str) -> Option<SuiteRow> {
-    let name = json_field(line, "name")?;
-    let row_line = json_field(line, "line")?;
-    let diag = json_field(line, "diag")?;
-    Some(SuiteRow {
-        diagnostic: (!diag.is_empty()).then_some(diag),
-        name,
-        line: row_line,
-        runtime_s: None,
-        failed: line.contains("\"failed\": true"),
-    })
 }
 
 /// `smart-ndr suite`: the headline table. Robust by construction — every
@@ -788,18 +746,24 @@ fn journal_row(line: &str) -> Option<SuiteRow> {
 /// job count. Always exits 0 when the table itself could be produced.
 ///
 /// With `--out <FILE>` the deterministic columns (runtime excluded) are
-/// additionally written to `FILE` through [`atomic_write`], and every
-/// completed row is journaled to `<FILE>.journal.jsonl` as it finishes (via
-/// the executor's event stream); `--resume` restores journaled rows instead
-/// of re-evaluating them, so an interrupted run picks up where it stopped
-/// and still produces the byte-identical `FILE`. The journal is deleted
-/// once `FILE` lands.
+/// additionally written to `FILE` through [`atomic_write`]. Without an
+/// explicit `--store`, each clean row also persists to an implicit result
+/// store at `<FILE>.store/` as it finishes; `--resume` replays those rows
+/// instead of re-evaluating them, so an interrupted run picks up where it
+/// stopped and still produces the byte-identical `FILE`. A fresh run clears
+/// that store first, and it is deleted once `FILE` lands.
 fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), ApiError> {
     let out_path = flags.get("out").map(PathBuf::from);
     let resume = flags.contains_key("resume");
+    let cache = cache_of(flags);
     if resume && out_path.is_none() {
         return Err(ApiError::usage(
-            "suite --resume needs --out <FILE> (the journal lives next to it)",
+            "suite --resume needs --out <FILE> (the resume store lives next to it)",
+        ));
+    }
+    if resume && cache == CacheMode::Off {
+        return Err(ApiError::usage(
+            "suite --resume replays rows from the result store, which --no-cache detaches",
         ));
     }
     let req = Request::Suite(SuiteRequest {
@@ -809,75 +773,33 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), ApiError> {
         },
         tech: tech_of(flags)?,
         jobs: jobs_of(flags)?,
-        prefilled: Vec::new(),
-        cache: cache_of(flags),
+        cache,
     });
-    let store = store_of(flags);
-    let mut plan = plan(&req)?;
+    let plan = plan(&req)?;
 
-    // Rows completed by an earlier interrupted run, restored from the
-    // journal and injected into the plan so the executor skips them.
-    let journal = match &out_path {
-        None => None,
-        Some(out) => {
-            let jpath = journal_path(out);
-            let j = if resume {
-                let (j, lines) = Journal::resume(&jpath).map_err(|e| {
-                    ApiError::invalid(format!("cannot resume journal {}: {e}", jpath.display()))
-                })?;
-                let Plan::Suite(sp) = &mut plan else {
-                    unreachable!("suite requests produce suite plans")
-                };
-                for row in lines.iter().filter_map(|l| journal_row(l)) {
-                    sp.prefilled.insert(row.name.clone(), row);
-                }
-                j
-            } else {
-                // A fresh run must not inherit rows from an older one.
-                match fs::remove_file(&jpath) {
-                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                        return Err(ApiError::invalid(format!(
-                            "cannot clear stale journal {}: {e}",
-                            jpath.display()
-                        )));
-                    }
-                    _ => {}
-                }
-                Journal::open(&jpath).map_err(|e| {
-                    ApiError::invalid(format!("cannot open journal {}: {e}", jpath.display()))
-                })?
-            };
-            Some(Mutex::new(j))
+    let implicit = match &out_path {
+        Some(out) if !flags.contains_key("store") => Some(implicit_store_dir(out)),
+        _ => None,
+    };
+    if let (Some(dir), false) = (&implicit, resume) {
+        // A fresh run must not inherit rows from an older one.
+        match fs::remove_dir_all(dir) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(ApiError::invalid(format!(
+                    "cannot clear stale store {}: {e}",
+                    dir.display()
+                )));
+            }
+            _ => {}
         }
+    }
+    let store = match &implicit {
+        Some(dir) if cache == CacheMode::On => open_store(dir),
+        _ => store_of(flags),
     };
 
     println!("{}", suite_header());
-    let journal_ref = journal.as_ref();
-    // Fresh rows reach this sink from the executor's worker threads the
-    // moment they complete; journaling here (not after the barrier) is
-    // what makes --resume survive a mid-run kill.
-    let sink = |event: &Event| {
-        if let Event::StoreQuarantined { detail, .. } = event {
-            eprintln!("warning: {detail}; recomputing from scratch");
-            return;
-        }
-        let Event::SuiteRow(row) = event else { return };
-        if let Some(j) = journal_ref {
-            let record = journal_record(row);
-            // A journaling failure must not fail the run — the table is
-            // still produced; only resumability is lost.
-            match j.lock() {
-                Ok(mut j) => {
-                    if let Err(e) = j.append(&record) {
-                        eprintln!("warning: cannot journal row {}: {e}", row.name);
-                    }
-                }
-                Err(poisoned) => drop(poisoned),
-            }
-        }
-    };
-    let ctx = ExecCtx { cache: None, store: store.as_ref(), sink: Some(&sink), on_token: None };
-    let resp = match execute(&plan, &ctx)? {
+    let resp = match execute(&plan, &store_ctx(store.as_ref()))? {
         Response::Suite(resp) => resp,
         _ => unreachable!("suite plans produce suite responses"),
     };
@@ -910,10 +832,9 @@ fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), ApiError> {
         }
         atomic_write(out, text.as_bytes())
             .map_err(|e| ApiError::invalid(format!("cannot write {}: {e}", out.display())))?;
-        if let Some(j) = journal {
-            let j = j.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Err(e) = j.remove() {
-                eprintln!("warning: cannot remove journal: {e}");
+        if let Some(dir) = implicit.filter(|d| d.exists()) {
+            if let Err(e) = fs::remove_dir_all(&dir) {
+                eprintln!("warning: cannot remove {}: {e}", dir.display());
             }
         }
     }
