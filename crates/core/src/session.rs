@@ -5,10 +5,10 @@
 //! probe. An [`EvalSession`] replaces that with a stateful
 //! `try_moves` / `commit` / `rollback` protocol backed by the incremental
 //! timing engine: buffers partition the RC tree into stages, so flipping one
-//! edge's rule re-solves only the stage containing it plus an O(#stages)
-//! arrival-offset pass. Power deltas are closed-form (wire switching power
-//! is linear in capacitance), so a probe near a leaf costs O(stage size),
-//! not O(n).
+//! edge's rule re-solves only the stage containing it and re-times only the
+//! stages downstream of it — O(dirty subtree + log S) for S stages. Power
+//! deltas are closed-form (wire switching power is linear in capacitance),
+//! so a probe near a leaf costs O(stage size + log S), not O(n).
 //!
 //! [`EvalMode::FullReanalysis`] keeps the original full-analysis path alive
 //! behind the same API — it is the oracle the equivalence tests and the
@@ -40,7 +40,7 @@
 //! ```
 
 use crate::OptContext;
-use snr_cts::{Assignment, NodeId};
+use snr_cts::{Assignment, ClockTree, NodeId};
 use snr_tech::{units, RuleId};
 use snr_timing::{IncrementalAnalyzer, TimingReport, TimingSummary};
 
@@ -514,6 +514,15 @@ impl<'c, 'a> EvalSession<'c, 'a> {
         }
     }
 
+    /// Per-node committed timing without materializing a report when the
+    /// incremental engine is live.
+    pub(crate) fn committed_timing(&self) -> CommittedTiming<'_> {
+        match &self.engine {
+            Some(engine) => CommittedTiming::Engine(engine),
+            None => CommittedTiming::Report(self.ctx.analyze(&self.asg)),
+        }
+    }
+
     /// The committed assignment.
     pub fn assignment(&self) -> &Assignment {
         &self.asg
@@ -562,6 +571,44 @@ impl<'c, 'a> EvalSession<'c, 'a> {
             degradations: self.degradations.clone(),
             scratch_moves: Vec::new(),
             scratch_corners: Vec::new(),
+        }
+    }
+}
+
+/// Read access to a session's committed per-node timing: the incremental
+/// engine's state, or a full report in [`EvalMode::FullReanalysis`].
+pub(crate) enum CommittedTiming<'s> {
+    Engine(&'s IncrementalAnalyzer),
+    Report(TimingReport),
+}
+
+impl CommittedTiming<'_> {
+    /// Committed arrival at `node`, ps.
+    pub(crate) fn arrival_ps(&self, node: NodeId) -> f64 {
+        match self {
+            CommittedTiming::Engine(engine) => engine.arrival_ps(node),
+            CommittedTiming::Report(report) => report.arrival_ps(node),
+        }
+    }
+
+    /// Calls `f` on every sink and buffer input whose committed slew
+    /// exceeds `limit_ps` (the engine scans only violating stages).
+    pub(crate) fn for_each_slew_violation(
+        &self,
+        tree: &ClockTree,
+        limit_ps: f64,
+        mut f: impl FnMut(NodeId),
+    ) {
+        match self {
+            CommittedTiming::Engine(engine) => engine.slew_violations(tree, limit_ps).for_each(f),
+            CommittedTiming::Report(report) => {
+                for node in tree.nodes() {
+                    let checked = node.kind().is_sink() || node.kind().is_buffer();
+                    if checked && node.parent().is_some() && report.slew_ps(node.id()) > limit_ps {
+                        f(node.id());
+                    }
+                }
+            }
         }
     }
 }

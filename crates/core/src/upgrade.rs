@@ -8,7 +8,6 @@ use crate::{
 use snr_cts::{Assignment, NodeId};
 use snr_par::{pool_scope, Parallelism, PoolHandle};
 use snr_tech::RuleId;
-use snr_timing::TimingReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Upgrade-repair: start with *no* NDR anywhere (uniform default) and,
@@ -70,66 +69,71 @@ impl GreedyUpgradeRepair {
         self
     }
 
-    /// Edges worth upgrading for the current report: stage edges of
-    /// slew-violating nodes plus root-path edges of the extreme sinks.
+    /// Edges worth upgrading for the committed state `committed` of
+    /// `session`, in ascending id order: stage edges of slew-violating
+    /// nodes plus root-path edges of the latest sink. `mark` is all-false
+    /// scratch of the tree's length and is all-false again on return.
     fn candidates(
         &self,
         ctx: &OptContext<'_>,
-        asg: &Assignment,
-        report: &TimingReport,
-    ) -> Vec<NodeId> {
+        session: &EvalSession<'_, '_>,
+        committed: CandidateEval,
+        mark: &mut [bool],
+        out: &mut Vec<NodeId>,
+    ) {
         let tree = ctx.tree();
         let constraints = ctx.constraints();
-        let mut mark = vec![false; tree.len()];
+        let timing = session.committed_timing();
+        out.clear();
 
         // Slew violations: walk from each violating checked node up to its
-        // stage source, marking the stage's path edges.
-        if report.max_slew_ps() > constraints.slew_limit_ps() {
-            for node in tree.nodes() {
-                let checked = node.kind().is_sink() || node.kind().is_buffer();
-                if !(checked && node.parent().is_some()) {
-                    continue;
-                }
-                if report.slew_ps(node.id()) <= constraints.slew_limit_ps() {
-                    continue;
-                }
-                let mut cur = node.id();
+        // stage source, marking the stage's path edges. A marked edge's
+        // path to the source is already marked, so the walk stops there.
+        let limit = constraints.slew_limit_ps();
+        if committed.worst_slew_ps > limit {
+            timing.for_each_slew_violation(tree, limit, |v| {
+                let mut cur = v;
                 while let Some(p) = tree.node(cur).parent() {
+                    if mark[cur.0] {
+                        break;
+                    }
                     mark[cur.0] = true;
+                    out.push(cur);
                     if tree.node(p).kind().is_buffer() {
                         break;
                     }
                     cur = p;
                 }
-            }
+            });
         }
 
         // Skew violations: the latest sink's root path is where upgrades
         // reduce delay (the earliest sink cannot be slowed by upgrading).
-        if report.skew_ps() > constraints.skew_limit_ps() {
-            let latest = tree
-                .sink_nodes()
-                .into_iter()
-                .max_by(|a, b| {
-                    report
-                        .arrival_ps(*a)
-                        .partial_cmp(&report.arrival_ps(*b))
-                        .expect("arrivals are finite")
-                })
-                .expect("trees have sinks");
-            let mut cur = latest;
+        // Ties go to the highest id.
+        if committed.skew_ps > constraints.skew_limit_ps() {
+            let mut latest: Option<(NodeId, f64)> = None;
+            for node in tree.nodes().iter().filter(|n| n.kind().is_sink()) {
+                let at = timing.arrival_ps(node.id());
+                if latest.is_none_or(|(_, best)| at >= best) {
+                    latest = Some((node.id(), at));
+                }
+            }
+            let (mut cur, _) = latest.expect("trees have sinks");
             while let Some(p) = tree.node(cur).parent() {
-                mark[cur.0] = true;
+                if !mark[cur.0] {
+                    mark[cur.0] = true;
+                    out.push(cur);
+                }
                 cur = p;
             }
         }
 
+        for e in out.iter() {
+            mark[e.0] = false;
+        }
         let most = ctx.tech().rules().most_conservative_id();
-        mark.iter()
-            .enumerate()
-            .filter(|(i, m)| **m && asg.rule(NodeId(*i)) != most)
-            .map(|(i, _)| NodeId(i))
-            .collect()
+        out.retain(|&e| session.rule(e) != most);
+        out.sort_unstable();
     }
 }
 
@@ -237,26 +241,28 @@ impl GreedyUpgradeRepair {
             .map(|e| rules.rule(session.rule(e)).track_cost() * len_um(e))
             .sum();
         let budget = constraints.track_budget_um().unwrap_or(f64::INFINITY);
+        let mut mark = vec![false; tree.len()];
+        let mut candidates = Vec::new();
         for _ in 0..self.max_iters {
             if !meter.tick() {
                 return;
             }
-            let report = session.report();
-            let violation = constraints.violation_ps(&report);
-            if violation <= 0.0 && session.feasible() {
+            let committed = session.committed_eval();
+            let violation = constraints.violation_ps_of(committed.worst_slew_ps, committed.skew_ps);
+            if violation <= 0.0 && committed.feasible {
                 return;
             }
             // Nominal is clean but a corner still violates: fall through
             // to the plateau branch, which keeps widening the longest
             // cheap edges (terminating at uniform-conservative).
-            let candidates = self.candidates(ctx, session.assignment(), &report);
+            self.candidates(ctx, session, committed, &mut mark, &mut candidates);
             if candidates.is_empty() {
                 break;
             }
             // Surviving (edge, next rule, added fF) triples, serial order.
             let cands: Vec<(NodeId, RuleId, f64)> = candidates
-                .into_iter()
-                .filter_map(|e| {
+                .iter()
+                .filter_map(|&e| {
                     let current = session.rule(e);
                     let next = rules.pricier_than(current).next()?;
                     let d_track = (rules.rule(next).track_cost()

@@ -48,8 +48,10 @@ struct Case {
 }
 
 /// The three `parallel_determinism` designs at default constraints, plus
-/// its tight-constraint case on the 180-sink design.
-const CASES: [Case; 4] = [
+/// its tight-constraint case on the 180-sink design, plus a 1,600-sink
+/// design at default and tight constraints (large enough that its stage
+/// tree is deep and a probe's dirty subtree is a small part of it).
+const CASES: [Case; 6] = [
     Case {
         name: "120s8",
         sinks: 120,
@@ -85,6 +87,24 @@ const CASES: [Case; 4] = [
         greedy: 0x3066_1138_6180_7665,
         upgrade: 0xbd07_3f17_4d0b_57e6,
         smart: 0x3066_1138_6180_7665,
+    },
+    Case {
+        name: "1600s16",
+        sinks: 1600,
+        seed: 16,
+        tight: None,
+        greedy: 0x110e_2fa2_7cd2_8327,
+        upgrade: 0x99ab_0eb5_f625_7245,
+        smart: 0x110e_2fa2_7cd2_8327,
+    },
+    Case {
+        name: "1600s16-tight",
+        sinks: 1600,
+        seed: 16,
+        tight: Some((1.03, 8.0)),
+        greedy: 0xfe72_0e0c_9a66_19c6,
+        upgrade: 0xff93_c0c9_4f37_c704,
+        smart: 0xfe72_0e0c_9a66_19c6,
     },
 ];
 

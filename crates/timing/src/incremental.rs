@@ -6,9 +6,15 @@
 //! loads, wire delays, slews — and (b) the *arrival offsets* of everything
 //! downstream of that stage's source. [`IncrementalAnalyzer`] exploits
 //! this: it caches per-stage results, marks the stage containing a changed
-//! edge dirty, re-solves only dirty stages, and propagates arrival deltas
-//! through the (small) stage graph. A candidate evaluation therefore costs
-//! `O(dirty-stage size + #stages)` instead of `O(nodes)`.
+//! edge dirty, re-solves only dirty stages, and re-times only the stages
+//! downstream of them. Stages are numbered in DFS preorder of the stage
+//! tree, so each stage's subtree is one contiguous index range; committed
+//! per-stage aggregates (latency, min arrival, worst slew) sit in a
+//! segment tree over that order, and the summary of everything outside the
+//! re-timed ranges is a few `O(log S)` range queries. A candidate
+//! evaluation therefore costs `O(dirty subtree + log S)` for `S` stages
+//! instead of `O(nodes)`. Min and max are exact, so the summary is
+//! bit-identical to a full fold over every stage.
 //!
 //! The evaluation protocol is transactional:
 //!
@@ -56,6 +62,48 @@ use snr_tech::{RuleId, Technology};
 const LN9: f64 = 2.197_224_577_336_219_6;
 const NO_STAGE: u32 = u32::MAX;
 
+/// One stage's (or a stage range's) contribution to a [`TimingSummary`]:
+/// latest and earliest absolute sink arrival (±∞ without sinks) and worst
+/// member slew. Merging is exact, so any fold order gives the same bits.
+#[derive(Debug, Clone, Copy)]
+struct StageAgg {
+    latency_ps: f64,
+    min_arrival_ps: f64,
+    max_slew_ps: f64,
+}
+
+impl StageAgg {
+    const EMPTY: StageAgg = StageAgg {
+        latency_ps: f64::NEG_INFINITY,
+        min_arrival_ps: f64::INFINITY,
+        max_slew_ps: 0.0,
+    };
+
+    /// The aggregate of a stage whose source output arrives at `out`.
+    fn of_stage(out: f64, sink_min_rel: f64, sink_max_rel: f64, max_slew_ps: f64) -> Self {
+        if sink_min_rel.is_finite() {
+            StageAgg {
+                latency_ps: out + sink_max_rel,
+                min_arrival_ps: out + sink_min_rel,
+                max_slew_ps,
+            }
+        } else {
+            StageAgg {
+                max_slew_ps,
+                ..StageAgg::EMPTY
+            }
+        }
+    }
+
+    fn merge(self, o: StageAgg) -> StageAgg {
+        StageAgg {
+            latency_ps: self.latency_ps.max(o.latency_ps),
+            min_arrival_ps: self.min_arrival_ps.min(o.min_arrival_ps),
+            max_slew_ps: self.max_slew_ps.max(o.max_slew_ps),
+        }
+    }
+}
+
 /// Aggregate timing figures of one (committed or candidate) assignment.
 ///
 /// The cheap-to-return subset of a [`TimingReport`]: exactly what a
@@ -92,8 +140,10 @@ pub struct IncrementalAnalyzer {
     c_scale: f64,
 
     // --- stage structure (fixed per tree) ---
-    /// Stage sources (root first, then every parented buffer), ascending id.
+    /// Stage sources in DFS preorder of the stage tree (root first).
     stages: Vec<NodeId>,
+    /// Per stage: end (exclusive) of its subtree range `si..sub_end[si]`.
+    sub_end: Vec<u32>,
     /// Per node: index of the stage owning its edge/wire/slew values
     /// (for the root: its own stage; the values are unused).
     owner: Vec<u32>,
@@ -123,7 +173,14 @@ pub struct IncrementalAnalyzer {
     /// sinks).
     sink_min_rel: Vec<f64>,
     sink_max_rel: Vec<f64>,
+    /// Bottom-up segment tree of committed [`StageAgg`]s: stage `si` is
+    /// leaf `leaves + si`, node `i` merges `2i` and `2i + 1`.
+    seg: Vec<StageAgg>,
+    /// Leaf count of `seg`: the stage count rounded up to a power of two.
+    leaves: usize,
     summary: TimingSummary,
+    /// Stages re-timed by the arrival pass since construction.
+    stages_visited: u64,
 
     // --- pending (candidate) state, valid iff stamped with `epoch` ---
     epoch: u64,
@@ -141,6 +198,8 @@ pub struct IncrementalAnalyzer {
     p_slew: Vec<f64>,
     /// Stamps per-stage aggregate recomputation (doubles as the dirty mark).
     p_stage_ep: Vec<u64>,
+    /// Stamps `p_out` (the stage lies in a re-timed range).
+    p_out_ep: Vec<u64>,
     p_out: Vec<f64>,
     p_src_slew: Vec<f64>,
     p_max_slew: Vec<f64>,
@@ -148,6 +207,8 @@ pub struct IncrementalAnalyzer {
     p_sink_max_rel: Vec<f64>,
     p_summary: TimingSummary,
     dirty: Vec<u32>,
+    /// Disjoint, ascending subtree ranges re-timed by the last probe.
+    ranges: Vec<(u32, u32)>,
     changed: Vec<NodeId>,
 }
 
@@ -190,16 +251,16 @@ impl IncrementalAnalyzer {
         let parents = arena.parents();
 
         // Stage sources in topological (= id) order.
-        let mut stages = Vec::new();
+        let mut sources = Vec::new();
         let mut headed = vec![NO_STAGE; n];
         for v in 0..n {
             if parents[v] == snr_cts::NO_PARENT || arena.is_buffer(v) {
-                headed[v] = stages.len() as u32;
-                stages.push(NodeId(v));
+                headed[v] = sources.len() as u32;
+                sources.push(v);
             }
         }
-        debug_assert_eq!(stages[0], root, "root must head the first stage");
-        let s_count = stages.len();
+        debug_assert_eq!(NodeId(sources[0]), root, "root must head the first stage");
+        let s_count = sources.len();
 
         // Owning stage of each node's wire values: the nearest strict
         // ancestor that is a source.
@@ -212,6 +273,35 @@ impl IncrementalAnalyzer {
             }
             let p = p as usize;
             owner[v] = if headed[p] != NO_STAGE { headed[p] } else { owner[p] };
+        }
+
+        // Relabel stages in DFS preorder of the stage tree (children in
+        // ascending id), so each stage's subtree is a contiguous range. A
+        // stage's parent stage owns its source and has a smaller topo index.
+        let mut size = vec![1u32; s_count];
+        for k in (1..s_count).rev() {
+            size[owner[sources[k]] as usize] += size[k];
+        }
+        let mut pre = vec![0u32; s_count];
+        // Next free preorder slot under each stage.
+        let mut next = vec![1u32; s_count];
+        for k in 1..s_count {
+            let p = owner[sources[k]] as usize;
+            pre[k] = next[p];
+            next[p] += size[k];
+            next[k] = pre[k] + 1;
+        }
+        let mut stages = vec![NodeId(0); s_count];
+        let mut sub_end = vec![0u32; s_count];
+        for k in 0..s_count {
+            stages[pre[k] as usize] = NodeId(sources[k]);
+            sub_end[pre[k] as usize] = pre[k] + size[k];
+        }
+        for v in 0..n {
+            owner[v] = pre[owner[v] as usize];
+            if headed[v] != NO_STAGE {
+                headed[v] = pre[headed[v] as usize];
+            }
         }
 
         // Members grouped by owner, ascending id (counting sort keeps the
@@ -243,11 +333,13 @@ impl IncrementalAnalyzer {
             min_arrival_ps: 0.0,
             max_slew_ps: 0.0,
         };
+        let leaves = s_count.next_power_of_two();
         let mut inc = IncrementalAnalyzer {
             n,
             r_scale,
             c_scale,
             stages,
+            sub_end,
             owner,
             headed,
             member_range,
@@ -264,7 +356,10 @@ impl IncrementalAnalyzer {
             max_slew: vec![0.0; s_count],
             sink_min_rel: vec![f64::INFINITY; s_count],
             sink_max_rel: vec![f64::NEG_INFINITY; s_count],
+            seg: vec![StageAgg::EMPTY; 2 * leaves],
+            leaves,
             summary: zero_summary,
+            stages_visited: 0,
             epoch: 1,
             has_pending: false,
             p_rule_ep: vec![0; n],
@@ -278,6 +373,7 @@ impl IncrementalAnalyzer {
             p_rel_in: vec![0.0; n],
             p_slew: vec![0.0; n],
             p_stage_ep: vec![0; s_count],
+            p_out_ep: vec![0; s_count],
             p_out: vec![0.0; s_count],
             p_src_slew: vec![0.0; s_count],
             p_max_slew: vec![0.0; s_count],
@@ -285,6 +381,7 @@ impl IncrementalAnalyzer {
             p_sink_max_rel: vec![f64::NEG_INFINITY; s_count],
             p_summary: zero_summary,
             dirty: Vec::new(),
+            ranges: Vec::new(),
             changed: Vec::new(),
         };
 
@@ -298,7 +395,7 @@ impl IncrementalAnalyzer {
         for si in 0..s_count {
             inc.recompute_stage(tree, tech, si);
         }
-        inc.global_pass(tree, tech);
+        inc.arrival_pass(tree, tech);
         inc.commit();
         inc
     }
@@ -306,6 +403,14 @@ impl IncrementalAnalyzer {
     /// Number of buffer stages (including the root stage).
     pub fn stage_count(&self) -> usize {
         self.stages.len()
+    }
+
+    /// Stages whose source arrival the arrival pass has re-timed since
+    /// construction (the initial solve counts every stage once). A probe
+    /// adds the size of its dirty stages' subtrees, not the stage count.
+    /// A deterministic work counter: it never feeds a result.
+    pub fn stages_visited(&self) -> u64 {
+        self.stages_visited
     }
 
     /// The committed rule on `edge`.
@@ -321,8 +426,9 @@ impl IncrementalAnalyzer {
     /// Test-only corruption hook: shifts the committed per-stage sink
     /// windows and worst slews by `delta_ps`, as an engine-state bug would.
     /// The drift survives subsequent `try_moves`/`commit` cycles because
-    /// `global_pass` rebuilds its aggregates from these committed arrays —
-    /// exactly the failure mode the divergence guard exists to catch.
+    /// the segment tree is rebuilt from these committed arrays and probes
+    /// fold it — exactly the failure mode the divergence guard exists to
+    /// catch.
     #[doc(hidden)]
     pub fn debug_perturb(&mut self, delta_ps: f64) {
         for si in 0..self.stages.len() {
@@ -330,6 +436,10 @@ impl IncrementalAnalyzer {
             if self.sink_max_rel[si].is_finite() {
                 self.sink_max_rel[si] += delta_ps;
             }
+            self.seg[self.leaves + si] = self.committed_agg(si);
+        }
+        for i in (1..self.leaves).rev() {
+            self.seg[i] = self.seg[2 * i].merge(self.seg[2 * i + 1]);
         }
         self.summary.latency_ps += delta_ps;
         self.summary.max_slew_ps += delta_ps;
@@ -364,6 +474,26 @@ impl IncrementalAnalyzer {
         self.slew[node.0]
     }
 
+    /// Committed sinks and buffer inputs whose slew exceeds `limit_ps`.
+    /// Only stages whose committed worst slew exceeds the limit are
+    /// scanned; nodes come stage by stage, ascending id within a stage.
+    pub fn slew_violations<'s>(
+        &'s self,
+        tree: &'s ClockTree,
+        limit_ps: f64,
+    ) -> impl Iterator<Item = NodeId> + 's {
+        (0..self.stages.len())
+            .filter(move |&si| self.max_slew[si] > limit_ps)
+            .flat_map(move |si| {
+                let (lo, hi) = self.member_range[si];
+                self.member_nodes[lo as usize..hi as usize].iter().copied()
+            })
+            .filter(move |&v| {
+                let kind = tree.node(v).kind();
+                (kind.is_sink() || kind.is_buffer()) && self.slew[v.0] > limit_ps
+            })
+    }
+
     /// Arrival at `node` under the pending candidate (falls back to the
     /// committed value when no candidate is pending).
     pub fn candidate_arrival_ps(&self, node: NodeId) -> f64 {
@@ -371,14 +501,24 @@ impl IncrementalAnalyzer {
             return self.arrival_ps(node);
         }
         if self.headed[node.0] != NO_STAGE {
-            self.p_out[self.headed[node.0] as usize]
+            self.candidate_out(self.headed[node.0] as usize)
         } else {
             let rel = if self.p_wire_ep[node.0] == self.epoch {
                 self.p_rel_in[node.0]
             } else {
                 self.rel_in[node.0]
             };
-            self.p_out[self.owner[node.0] as usize] + rel
+            self.candidate_out(self.owner[node.0] as usize) + rel
+        }
+    }
+
+    /// Candidate source output arrival of stage `si`: re-timed when the
+    /// stage lies in a dirty subtree, committed otherwise.
+    fn candidate_out(&self, si: usize) -> f64 {
+        if self.p_out_ep[si] == self.epoch {
+            self.p_out[si]
+        } else {
+            self.out[si]
         }
     }
 
@@ -462,7 +602,7 @@ impl IncrementalAnalyzer {
             let si = self.dirty[i] as usize;
             self.recompute_stage(tree, tech, si);
         }
-        self.global_pass(tree, tech);
+        self.arrival_pass(tree, tech);
         self.p_summary
     }
 
@@ -504,12 +644,25 @@ impl IncrementalAnalyzer {
                 }
             }
         }
-        std::mem::swap(&mut self.out, &mut self.p_out);
+        for ri in 0..self.ranges.len() {
+            let (lo, hi) = (self.ranges[ri].0 as usize, self.ranges[ri].1 as usize);
+            self.out[lo..hi].copy_from_slice(&self.p_out[lo..hi]);
+            for si in lo..hi {
+                self.seg[self.leaves + si] = self.committed_agg(si);
+            }
+            // Refresh the leaves' ancestors level by level (the leaf count
+            // is a power of two, so each level's parents are contiguous).
+            let (mut l, mut r) = (self.leaves + lo, self.leaves + hi - 1);
+            while l > 1 {
+                l >>= 1;
+                r >>= 1;
+                for i in l..=r {
+                    self.seg[i] = self.seg[2 * i].merge(self.seg[2 * i + 1]);
+                }
+            }
+        }
         self.summary = self.p_summary;
-        self.epoch += 1;
-        self.has_pending = false;
-        self.dirty.clear();
-        self.changed.clear();
+        self.rollback();
     }
 
     /// Discards the pending candidate. A no-op when none is pending.
@@ -517,6 +670,7 @@ impl IncrementalAnalyzer {
         self.epoch += 1;
         self.has_pending = false;
         self.dirty.clear();
+        self.ranges.clear();
         self.changed.clear();
     }
 
@@ -660,68 +814,45 @@ impl IncrementalAnalyzer {
         }
     }
 
-    /// One pass over the stage graph: candidate source arrivals for every
-    /// stage (clean stages shift by their parent's delta; dirty stages use
-    /// their recomputed offsets), plus the global aggregates.
-    fn global_pass(&mut self, tree: &ClockTree, tech: &Technology) {
-        let ep = self.epoch;
+    /// Re-times the subtrees of the dirty stages into `p_out` and folds the
+    /// candidate summary: the re-timed stages directly, every other stage
+    /// through range queries on the committed segment tree.
+    fn arrival_pass(&mut self, tree: &ClockTree, tech: &Technology) {
         let cells = tech.buffers().cells();
-        let mut latency = f64::MIN;
-        let mut min_arrival = f64::MAX;
-        let mut mx_slew = 0.0f64;
-        let mut saw_sink = false;
-
-        for si in 0..self.stages.len() {
-            let s = self.stages[si];
-            let load_s = if self.p_load_ep[s.0] == ep {
-                self.p_load[s.0]
-            } else {
-                self.load[s.0]
-            };
-            let out = if si == 0 {
-                match tree.node(s).kind() {
-                    NodeKind::Buffer { cell } => cells[cell].delay_ps(load_s),
-                    _ => 0.0,
-                }
-            } else {
-                let rel = if self.p_wire_ep[s.0] == ep {
-                    self.p_rel_in[s.0]
-                } else {
-                    self.rel_in[s.0]
-                };
-                let in_arr = self.p_out[self.owner[s.0] as usize] + rel;
-                match tree.node(s).kind() {
-                    NodeKind::Buffer { cell } => in_arr + cells[cell].delay_ps(load_s),
-                    _ => unreachable!("non-root stage sources are buffers"),
-                }
-            };
-            self.p_out[si] = out;
-
-            let (smin, smax, msl) = if self.p_stage_ep[si] == ep {
-                (
-                    self.p_sink_min_rel[si],
-                    self.p_sink_max_rel[si],
-                    self.p_max_slew[si],
-                )
-            } else {
-                (self.sink_min_rel[si], self.sink_max_rel[si], self.max_slew[si])
-            };
-            if smin.is_finite() {
-                saw_sink = true;
-                latency = latency.max(out + smax);
-                min_arrival = min_arrival.min(out + smin);
+        // Preorder subtree ranges are nested or disjoint: after sorting,
+        // a dirty stage inside the previous range adds nothing.
+        self.dirty.sort_unstable();
+        for i in 0..self.dirty.len() {
+            let si = self.dirty[i];
+            if self.ranges.last().is_none_or(|&(_, hi)| si >= hi) {
+                self.ranges.push((si, self.sub_end[si as usize]));
             }
-            mx_slew = mx_slew.max(msl);
         }
 
-        if !saw_sink {
+        let mut acc = StageAgg::EMPTY;
+        let mut gap_lo = 0;
+        for ri in 0..self.ranges.len() {
+            let (lo, hi) = (self.ranges[ri].0 as usize, self.ranges[ri].1 as usize);
+            acc = acc.merge(self.committed_fold(gap_lo, lo));
+            for si in lo..hi {
+                acc = acc.merge(self.retime_stage(tree, cells, si));
+            }
+            self.stages_visited += (hi - lo) as u64;
+            gap_lo = hi;
+        }
+        acc = acc.merge(self.committed_fold(gap_lo, self.stages.len()));
+
+        let (mut latency, mut min_arrival) = (acc.latency_ps, acc.min_arrival_ps);
+        if latency == f64::NEG_INFINITY {
+            // No sinks anywhere.
             latency = 0.0;
             min_arrival = 0.0;
         }
+        let mut mx_slew = acc.max_slew_ps;
         if self.n == 1 {
             // Single-node tree: the full analyzer reports the root's own
             // slew as the worst slew.
-            mx_slew = if self.p_stage_ep[0] == ep {
+            mx_slew = if self.p_stage_ep[0] == self.epoch {
                 self.p_src_slew[0]
             } else {
                 self.src_slew[0]
@@ -732,6 +863,78 @@ impl IncrementalAnalyzer {
             min_arrival_ps: min_arrival,
             max_slew_ps: mx_slew,
         };
+    }
+
+    /// Candidate source output arrival and aggregate of stage `si`, whose
+    /// parent stage (if any) precedes it in preorder and is already final.
+    fn retime_stage(
+        &mut self,
+        tree: &ClockTree,
+        cells: &[snr_tech::BufferCell],
+        si: usize,
+    ) -> StageAgg {
+        let ep = self.epoch;
+        let s = self.stages[si];
+        let load_s = if self.p_load_ep[s.0] == ep {
+            self.p_load[s.0]
+        } else {
+            self.load[s.0]
+        };
+        let out = if si == 0 {
+            match tree.node(s).kind() {
+                NodeKind::Buffer { cell } => cells[cell].delay_ps(load_s),
+                _ => 0.0,
+            }
+        } else {
+            let rel = if self.p_wire_ep[s.0] == ep {
+                self.p_rel_in[s.0]
+            } else {
+                self.rel_in[s.0]
+            };
+            let in_arr = self.candidate_out(self.owner[s.0] as usize) + rel;
+            match tree.node(s).kind() {
+                NodeKind::Buffer { cell } => in_arr + cells[cell].delay_ps(load_s),
+                _ => unreachable!("non-root stage sources are buffers"),
+            }
+        };
+        self.p_out[si] = out;
+        self.p_out_ep[si] = ep;
+        let (smin, smax, msl) = if self.p_stage_ep[si] == ep {
+            (self.p_sink_min_rel[si], self.p_sink_max_rel[si], self.p_max_slew[si])
+        } else {
+            (self.sink_min_rel[si], self.sink_max_rel[si], self.max_slew[si])
+        };
+        StageAgg::of_stage(out, smin, smax, msl)
+    }
+
+    /// Committed aggregate of stage `si` (its segment-tree leaf).
+    fn committed_agg(&self, si: usize) -> StageAgg {
+        StageAgg::of_stage(
+            self.out[si],
+            self.sink_min_rel[si],
+            self.sink_max_rel[si],
+            self.max_slew[si],
+        )
+    }
+
+    /// Merged committed aggregate of stages `lo..hi` (a segment-tree range
+    /// query).
+    fn committed_fold(&self, lo: usize, hi: usize) -> StageAgg {
+        let mut acc = StageAgg::EMPTY;
+        let (mut l, mut r) = (lo + self.leaves, hi + self.leaves);
+        while l < r {
+            if l & 1 == 1 {
+                acc = acc.merge(self.seg[l]);
+                l += 1;
+            }
+            if r & 1 == 1 {
+                r -= 1;
+                acc = acc.merge(self.seg[r]);
+            }
+            l >>= 1;
+            r >>= 1;
+        }
+        acc
     }
 }
 
@@ -932,6 +1135,41 @@ mod tests {
         let mut m = asg.clone();
         m.set(edge, tech.rules().most_conservative_id());
         assert_summary_close(cand, &analyze(&tree, &tech, &m));
+    }
+
+    #[test]
+    fn probe_visits_only_the_dirty_subtree() {
+        let (tree, tech) = setup(1_200, 4);
+        let rules = tech.rules();
+        let asg = Assignment::uniform(&tree, rules.most_conservative_id());
+        let mut inc = IncrementalAnalyzer::new(&tree, &tech, &asg);
+        let stages = inc.stage_count() as u64;
+        assert!(stages > 100, "1.2k sinks give many stages, got {stages}");
+        assert_eq!(inc.stages_visited(), stages, "the initial solve visits all");
+
+        // An edge inside a leaf stage (no buffer below it): its subtree is
+        // that one stage.
+        let leaf_edge = tree
+            .edges()
+            .find(|e| {
+                let si = inc.owner[e.0] as usize;
+                si != 0 && inc.sub_end[si] as usize == si + 1
+            })
+            .expect("buffered trees have leaf stages");
+        let before = inc.stages_visited();
+        inc.try_edge(&tree, &tech, leaf_edge, rules.default_id());
+        inc.rollback();
+        assert_eq!(inc.stages_visited() - before, 1);
+
+        // An edge of the root stage re-times every stage.
+        let root_edge = tree
+            .edges()
+            .find(|e| inc.owner[e.0] == 0)
+            .expect("the root stage has edges");
+        let before = inc.stages_visited();
+        inc.try_edge(&tree, &tech, root_edge, rules.default_id());
+        inc.commit();
+        assert_eq!(inc.stages_visited() - before, stages);
     }
 
     #[test]

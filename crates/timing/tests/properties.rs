@@ -1,10 +1,12 @@
 //! Property-based tests of the RC-tree analyzer.
 
 use proptest::prelude::*;
-use snr_cts::{synthesize, Assignment, ClockTree, CtsOptions, NodeKind};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use snr_cts::{synthesize, Assignment, ClockTree, CtsOptions, NodeId, NodeKind};
 use snr_netlist::BenchmarkSpec;
-use snr_tech::Technology;
-use snr_timing::{analyze, Analyzer};
+use snr_tech::{Corner, RuleId, Technology};
+use snr_timing::{analyze, Analyzer, IncrementalAnalyzer, TimingSummary};
 
 fn arb_tree() -> impl Strategy<Value = ClockTree> {
     (2usize..80, 0u64..300).prop_map(|(n, seed)| {
@@ -124,5 +126,118 @@ proptest! {
             (driven - expect).abs() < 1e-6 * (1.0 + expect),
             "driven {driven} vs expected {expect}"
         );
+    }
+}
+
+fn summary_bits(s: TimingSummary) -> [u64; 3] {
+    [
+        s.latency_ps.to_bits(),
+        s.min_arrival_ps.to_bits(),
+        s.max_slew_ps.to_bits(),
+    ]
+}
+
+/// Asserts that `inc`'s committed view (or, with `candidate`, its pending
+/// view) equals the freshly built `fresh` bit for bit: summary, arrivals,
+/// slews and stage loads of every node.
+fn assert_bitwise(
+    tree: &ClockTree,
+    inc: &IncrementalAnalyzer,
+    fresh: &IncrementalAnalyzer,
+    candidate: bool,
+    what: &str,
+) {
+    let got = if candidate {
+        inc.candidate_summary()
+    } else {
+        inc.summary()
+    };
+    assert_eq!(
+        summary_bits(got),
+        summary_bits(fresh.summary()),
+        "{what}: summary"
+    );
+    for v in 0..tree.len() {
+        let id = NodeId(v);
+        let arrival = if candidate {
+            inc.candidate_arrival_ps(id)
+        } else {
+            inc.arrival_ps(id)
+        };
+        assert_eq!(
+            arrival.to_bits(),
+            fresh.arrival_ps(id).to_bits(),
+            "{what}: arrival at {v}"
+        );
+        if !candidate {
+            assert_eq!(
+                inc.slew_ps(id).to_bits(),
+                fresh.slew_ps(id).to_bits(),
+                "{what}: slew at {v}"
+            );
+            assert_eq!(
+                inc.stage_load_ff(id).to_bits(),
+                fresh.stage_load_ff(id).to_bits(),
+                "{what}: load at {v}"
+            );
+        }
+    }
+}
+
+/// Random `try_moves` (1–3 edges) / `commit` / `rollback` sequences leave
+/// the incremental engine bit-identical to a fresh engine built on the
+/// same assignment, at nominal and slow-corner scales. Catches stale
+/// per-stage or summary state that a tolerance-based comparison would miss.
+#[test]
+fn incremental_engine_bitwise_equals_fresh_build() {
+    let tech = Technology::n45();
+    let n_rules = tech.rules().len();
+    let slow = Corner::slow();
+    for (sinks, seed) in [(64usize, 3u64), (300, 5), (800, 9)] {
+        let design = BenchmarkSpec::new("bits", sinks)
+            .seed(seed)
+            .build()
+            .expect("valid spec");
+        let tree = synthesize(&design, &tech, &CtsOptions::default()).expect("synthesizable");
+        let edges: Vec<NodeId> = tree.edges().collect();
+        for (r_scale, c_scale) in [(1.0, 1.0), (slow.r_scale(), slow.c_scale())] {
+            let build = |asg: &Assignment| {
+                IncrementalAnalyzer::with_scales(&tree, &tech, asg, r_scale, c_scale)
+            };
+            let mut asg = Assignment::uniform(&tree, tech.rules().most_conservative_id());
+            let mut inc = build(&asg);
+            let mut rng = StdRng::seed_from_u64(seed ^ sinks as u64);
+            for step in 0..40 {
+                let k = rng.gen_range(1..4usize);
+                let moves: Vec<(NodeId, RuleId)> = (0..k)
+                    .map(|_| {
+                        let e = edges[rng.gen_range(0..edges.len())];
+                        (e, RuleId(rng.gen_range(0..n_rules)))
+                    })
+                    .collect();
+                let mut trial = asg.clone();
+                for &(e, r) in &moves {
+                    trial.set(e, r);
+                }
+                let what = format!("{sinks} sinks, scale {r_scale}, step {step}");
+                inc.try_moves(&tree, &tech, &moves);
+                assert_bitwise(&tree, &inc, &build(&trial), true, &format!("{what} try"));
+                let committed = build(&asg);
+                assert_bitwise(&tree, &inc, &committed, false, &format!("{what} try"));
+                if rng.gen_range(0..2usize) == 0 {
+                    inc.commit();
+                    asg = trial;
+                    assert_bitwise(&tree, &inc, &build(&asg), false, &format!("{what} commit"));
+                } else {
+                    inc.rollback();
+                    assert_bitwise(&tree, &inc, &committed, false, &format!("{what} rollback"));
+                }
+                // No candidate pending: the candidate view is the committed one.
+                assert_eq!(
+                    inc.candidate_arrival_ps(edges[0]).to_bits(),
+                    inc.arrival_ps(edges[0]).to_bits()
+                );
+            }
+        }
     }
 }
